@@ -7,6 +7,7 @@ import (
 	"ktau/internal/analysis"
 	"ktau/internal/blockio"
 	"ktau/internal/cluster"
+	"ktau/internal/collect"
 	"ktau/internal/experiments"
 	"ktau/internal/faultsim"
 	"ktau/internal/harness"
@@ -573,9 +574,9 @@ const TimerTickEvent = perfmon.TimerTickEvent
 // with no live node to collect on.
 func DeployPerfMon(c *Cluster, cfg PerfMonConfig) (*PerfMon, error) { return perfmon.Deploy(c, cfg) }
 
-// ElectCollector returns the node index perfmon would elect as collector,
-// or -1 when no node is live.
-func ElectCollector(c *Cluster) int { return perfmon.Elect(c) }
+// ElectCollector returns the node index the perfmon and tracepipe pipelines
+// would elect as collector, or -1 when no node is live.
+func ElectCollector(c *Cluster) int { return collect.Elect(c) }
 
 // NewPerfMonStore creates an empty time-series store (for offline ingest).
 func NewPerfMonStore(cfg PerfMonStoreConfig) *PerfMonStore { return perfmon.NewStore(cfg) }

@@ -184,7 +184,7 @@ func (r *ClusterTraceResult) Render(w io.Writer) {
 	fmt.Fprintf(w, "Cluster trace: %d records, %d MPI endpoint events, %d correlated flows, %d sampled out\n",
 		r.Records, r.MsgEvents, len(r.Flows), r.SampledOut)
 	fmt.Fprintf(w, "collector=node%d failovers=%d drained=%v\n",
-		r.Live.Trace.CollectorNode(), r.Live.Trace.Failovers(), r.TraceDrainedOK())
+		r.Live.Trace.Collector(), r.Live.Trace.Failovers(), r.TraceDrainedOK())
 	rows := make([][]string, 0, len(r.Stats))
 	for _, s := range r.Stats {
 		rows = append(rows, []string{

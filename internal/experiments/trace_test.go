@@ -83,7 +83,7 @@ func traceFingerprint(t *testing.T, racks int, parallel bool, workers int) strin
 	var buf bytes.Buffer
 	fmt.Fprintf(&buf, "completed=%v drained=%v tdrained=%v collector=%d tcollector=%d failovers=%d\n",
 		live.Completed, live.Drained, live.TraceDrained,
-		live.Collector, live.Trace.CollectorNode(), live.Trace.Failovers())
+		live.Collector, live.Trace.Collector(), live.Trace.Failovers())
 	if err := store.WriteChromeTrace(&buf); err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func adaptiveFingerprint(t *testing.T, racks int, parallel bool, workers int) st
 	var buf bytes.Buffer
 	fmt.Fprintf(&buf, "completed=%v drained=%v tdrained=%v collector=%d tcollector=%d failovers=%d\n",
 		live.Completed, live.Drained, live.TraceDrained,
-		live.Collector, live.Trace.CollectorNode(), live.Trace.Failovers())
+		live.Collector, live.Trace.Collector(), live.Trace.Failovers())
 	if err := store.WriteChromeTrace(&buf); err != nil {
 		t.Fatal(err)
 	}

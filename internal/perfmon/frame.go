@@ -10,16 +10,13 @@ import (
 )
 
 // Wire protocol constants. Every collection round an agent ships one frame:
-// a fixed preamble (magic, version, payload length — what the sink reads
-// first to learn how much more to receive) followed by the delta payload.
+// the transport's fixed preamble (collect.HeaderBytes) followed by the delta
+// payload.
 const (
 	// FrameMagic identifies a perfmon frame ("KMON").
 	FrameMagic = 0x4b4d4f4e
 	// FrameVersion is the wire format version (2 added the Gap flag).
 	FrameVersion = 2
-	// FrameHeaderBytes is the fixed on-wire preamble preceding each frame's
-	// payload: magic(4) + version(4) + payload length(4) + reserved(4).
-	FrameHeaderBytes = 16
 )
 
 // TimerTickEvent is the kernel's periodic timer interrupt event. Its calls
@@ -96,7 +93,7 @@ func (w *frameWriter) str(s string) {
 }
 
 // EncodeFrame serialises a frame payload (the bytes following the on-wire
-// preamble; FrameHeaderBytes models the preamble itself).
+// preamble; collect.HeaderBytes models the preamble itself).
 func EncodeFrame(f Frame) []byte { return AppendFrame(nil, f) }
 
 // AppendFrame serialises a frame payload, appending to dst and returning the

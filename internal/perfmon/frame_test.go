@@ -60,3 +60,28 @@ func TestFrameDecodeRejectsGarbage(t *testing.T) {
 		}
 	}
 }
+
+// FuzzDecodeFrame feeds arbitrary bytes to the sink-side decoder — the only
+// input the collector takes from the simulated wire, which faultsim corrupts
+// on purpose. Decoding must never panic, and whatever decodes must survive
+// an encode→decode round trip unchanged.
+func FuzzDecodeFrame(f *testing.F) {
+	for _, fr := range []Frame{sampleFrame(), Frame{Node: "n", Round: 0}} {
+		blob := EncodeFrame(fr)
+		f.Add(blob)
+		f.Add(blob[:len(blob)/2])
+	}
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		fr, err := DecodeFrame(blob)
+		if err != nil {
+			return
+		}
+		again, err := DecodeFrame(EncodeFrame(fr))
+		if err != nil {
+			t.Fatalf("re-encoded frame does not decode: %v", err)
+		}
+		if !reflect.DeepEqual(fr, again) {
+			t.Fatalf("decode→encode→decode unstable:\n got %+v\nwant %+v", again, fr)
+		}
+	})
+}

@@ -229,7 +229,7 @@ func (tp *Pipeline) focusTick() {
 	for _, name := range rep.Flagged {
 		flagged[name] = true
 	}
-	src := tp.CollectorNode()
+	src := tp.Collector()
 	if src < 0 {
 		src = 0
 	}

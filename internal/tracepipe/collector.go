@@ -122,8 +122,8 @@ func (c *Collector) Ingest(f Frame, wireBytes int) {
 	n.msgEvents += uint64(len(f.Msgs))
 }
 
-// DropFrame counts one damaged or desynced frame from the node (sink side).
-func (c *Collector) DropFrame(idx int) {
+// Drop counts one damaged or desynced frame from the node (sink side).
+func (c *Collector) Drop(idx int) {
 	c.mu.Lock()
 	c.node(idx).sinkDrops++
 	c.mu.Unlock()

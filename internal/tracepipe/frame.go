@@ -11,23 +11,15 @@ import (
 )
 
 // Wire protocol constants. Every collection round an agent ships one trace
-// frame: a fixed preamble (magic, version, payload length) followed by the
-// payload. The preamble/payload split mirrors the perfmon profile frames so
-// both pipelines share the same framing convention on the simulated wire.
+// frame: the transport's fixed preamble (collect.HeaderBytes) followed by
+// the payload — the same framing convention as the perfmon profile frames.
 const (
 	// TraceMagic identifies a tracepipe frame ("KTRC").
 	TraceMagic = 0x4b545243
-	// TraceVersion is the current wire format version: varint-delta encoding
+	// TraceVersion is the wire format version: varint-delta encoding
 	// (timestamps as per-stream deltas, counters as uvarints) on top of the
 	// per-frame name dictionary.
 	TraceVersion = 2
-	// TraceVersion1 is the original fixed-width encoding. Encoders moved on,
-	// but DecodeFrame still accepts v1 payloads so mixed-version clusters
-	// (and archived traces) keep working.
-	TraceVersion1 = 1
-	// TraceHeaderBytes is the fixed on-wire preamble preceding each frame's
-	// payload: magic(4) + version(4) + payload length(4) + reserved(4).
-	TraceHeaderBytes = 16
 )
 
 // Rec is one resolved trace record: a virtual-TSC timestamp, the event name
@@ -111,8 +103,6 @@ type frameWriter struct{ b []byte }
 
 func (w *frameWriter) u8(v uint8)   { w.b = append(w.b, v) }
 func (w *frameWriter) u32(v uint32) { w.b = binary.LittleEndian.AppendUint32(w.b, v) }
-func (w *frameWriter) u64(v uint64) { w.b = binary.LittleEndian.AppendUint64(w.b, v) }
-func (w *frameWriter) i64(v int64)  { w.u64(uint64(v)) }
 func (w *frameWriter) uv(v uint64)  { w.b = binary.AppendUvarint(w.b, v) }
 func (w *frameWriter) zz(v int64)   { w.b = binary.AppendVarint(w.b, v) }
 func (w *frameWriter) bit(v bool) {
@@ -232,92 +222,19 @@ func AppendFrame(dst []byte, f Frame) []byte {
 	return w.b
 }
 
-// AppendFrameV1 serialises a frame payload in the legacy fixed-width v1
-// format. Kept (and exercised by tests) so DecodeFrame's v1 path stays
-// honest; v1 has no field for Throttle or per-stream Sampled counts, so
-// those are silently dropped.
-func AppendFrameV1(dst []byte, f Frame) []byte {
-	d := dictPool.Get().(*dict)
-	for _, s := range f.Streams {
-		for _, r := range s.Recs {
-			d.intern(r.Name)
-		}
-	}
-
-	w := frameWriter{b: dst}
-	w.u32(TraceMagic)
-	w.u32(TraceVersion1)
-	w.str(f.Node)
-	w.u32(uint32(f.NodeIdx))
-	w.u32(uint32(f.Round))
-	w.bit(f.Last)
-	w.u64(f.Backlog)
-	w.u64(f.ReadErrs)
-	w.u64(f.Dropped)
-	w.u64(f.DroppedRecs)
-	w.u32(uint32(len(d.names)))
-	for _, n := range d.names {
-		w.str(n)
-	}
-	w.u32(uint32(len(f.Streams)))
-	for _, s := range f.Streams {
-		w.i64(int64(s.PID))
-		w.str(s.Task)
-		w.bit(s.Kernel)
-		w.u64(s.Lost)
-		w.u32(uint32(len(s.Recs)))
-		for _, r := range s.Recs {
-			w.i64(r.TSC)
-			w.u32(d.index[r.Name])
-			w.u8(uint8(r.Kind))
-			w.i64(r.Val)
-		}
-	}
-	w.u32(uint32(len(f.Msgs)))
-	for _, m := range f.Msgs {
-		w.u32(uint32(m.Src))
-		w.u32(uint32(m.Dst))
-		w.i64(int64(m.Tag))
-		w.i64(int64(m.Bytes))
-		w.u64(m.Seq)
-		w.bit(m.Send)
-		w.i64(int64(m.PID))
-		w.i64(m.StartTSC)
-		w.i64(m.EndTSC)
-	}
-	d.reset()
-	dictPool.Put(d)
-	return w.b
-}
-
-// EncodeFrameV1 is AppendFrameV1 into a fresh buffer.
-func EncodeFrameV1(f Frame) []byte { return AppendFrameV1(nil, f) }
-
-// DecodeFrame parses a frame payload produced by AppendFrame (v2) or
-// AppendFrameV1 (the legacy fixed-width encoding).
+// DecodeFrame parses a frame payload produced by AppendFrame.
 func DecodeFrame(blob []byte) (Frame, error) {
 	r := frameReader{b: blob}
 	var f Frame
 	if r.u32() != TraceMagic {
 		return f, errors.New("tracepipe: bad frame magic")
 	}
-	switch v := r.u32(); v {
-	case TraceVersion:
-		return decodeV2(&r)
-	case TraceVersion1:
-		return decodeV1(&r)
-	default:
+	if v := r.u32(); v != TraceVersion {
 		if r.err != nil {
 			return f, r.err
 		}
 		return f, fmt.Errorf("tracepipe: unsupported frame version %d", v)
 	}
-}
-
-// decodeV2 parses the varint-delta body (reader positioned after the
-// magic/version words).
-func decodeV2(r *frameReader) (Frame, error) {
-	var f Frame
 	f.Node = r.str()
 	f.NodeIdx = int(r.uv())
 	f.Round = int(r.uv())
@@ -327,10 +244,7 @@ func decodeV2(r *frameReader) (Frame, error) {
 	f.ReadErrs = r.uv()
 	f.Dropped = r.uv()
 	f.DroppedRecs = r.uv()
-	nn := int(r.uv())
-	if r.err == nil && nn > len(r.b) {
-		return f, errTruncated
-	}
+	nn := r.count()
 	names := make([]string, 0, nn)
 	for i := 0; i < nn && r.err == nil; i++ {
 		names = append(names, r.str())
@@ -342,10 +256,7 @@ func decodeV2(r *frameReader) (Frame, error) {
 		}
 		return names[i]
 	}
-	ns := int(r.uv())
-	if r.err == nil && ns > len(r.b) {
-		return f, errTruncated
-	}
+	ns := r.count()
 	for i := 0; i < ns && r.err == nil; i++ {
 		var s Stream
 		s.PID = int(r.zz())
@@ -353,10 +264,7 @@ func decodeV2(r *frameReader) (Frame, error) {
 		s.Kernel = r.u8() == 1
 		s.Lost = r.uv()
 		s.Sampled = r.uv()
-		nr := int(r.uv())
-		if r.err == nil && nr > len(r.b) {
-			return f, errTruncated
-		}
+		nr := r.count()
 		prev := int64(0)
 		for j := 0; j < nr && r.err == nil; j++ {
 			var rec Rec
@@ -369,10 +277,7 @@ func decodeV2(r *frameReader) (Frame, error) {
 		}
 		f.Streams = append(f.Streams, s)
 	}
-	nm := int(r.uv())
-	if r.err == nil && nm > len(r.b) {
-		return f, errTruncated
-	}
+	nm := r.count()
 	prevStart := int64(0)
 	for i := 0; i < nm && r.err == nil; i++ {
 		var m Msg
@@ -386,74 +291,6 @@ func decodeV2(r *frameReader) (Frame, error) {
 		prevStart += r.zz()
 		m.StartTSC = prevStart
 		m.EndTSC = m.StartTSC + r.zz()
-		f.Msgs = append(f.Msgs, m)
-	}
-	return f, r.err
-}
-
-// decodeV1 parses the legacy fixed-width body (reader positioned after the
-// magic/version words).
-func decodeV1(r *frameReader) (Frame, error) {
-	var f Frame
-	f.Node = r.str()
-	f.NodeIdx = int(r.u32())
-	f.Round = int(r.u32())
-	f.Last = r.u8() == 1
-	f.Backlog = r.u64()
-	f.ReadErrs = r.u64()
-	f.Dropped = r.u64()
-	f.DroppedRecs = r.u64()
-	nn := int(r.u32())
-	if r.err == nil && nn > len(r.b) {
-		return f, errTruncated
-	}
-	names := make([]string, 0, nn)
-	for i := 0; i < nn && r.err == nil; i++ {
-		names = append(names, r.str())
-	}
-	nameAt := func(i uint32) string {
-		if int(i) >= len(names) {
-			r.err = errors.New("tracepipe: name index out of range")
-			return ""
-		}
-		return names[i]
-	}
-	ns := int(r.u32())
-	for i := 0; i < ns && r.err == nil; i++ {
-		var s Stream
-		s.PID = int(r.i64())
-		s.Task = r.str()
-		s.Kernel = r.u8() == 1
-		s.Lost = r.u64()
-		nr := int(r.u32())
-		if r.err == nil && nr > len(r.b) {
-			return f, errTruncated
-		}
-		for j := 0; j < nr && r.err == nil; j++ {
-			var rec Rec
-			rec.TSC = r.i64()
-			rec.Name = nameAt(r.u32())
-			rec.Kind = ktau.RecordKind(r.u8())
-			rec.Val = r.i64()
-			s.Recs = append(s.Recs, rec)
-		}
-		f.Streams = append(f.Streams, s)
-	}
-	nm := int(r.u32())
-	if r.err == nil && nm > len(r.b) {
-		return f, errTruncated
-	}
-	for i := 0; i < nm && r.err == nil; i++ {
-		var m Msg
-		m.Src = int(r.u32())
-		m.Dst = int(r.u32())
-		m.Tag = int(r.i64())
-		m.Bytes = int(r.i64())
-		m.Seq = r.u64()
-		m.Send = r.u8() == 1
-		m.PID = int(r.i64())
-		m.StartTSC = r.i64()
-		m.EndTSC = r.i64()
 		f.Msgs = append(f.Msgs, m)
 	}
 	return f, r.err
@@ -496,17 +333,6 @@ func (r *frameReader) u32() uint32 {
 	return v
 }
 
-func (r *frameReader) u64() uint64 {
-	if !r.need(8) {
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(r.b[r.off:])
-	r.off += 8
-	return v
-}
-
-func (r *frameReader) i64() int64 { return int64(r.u64()) }
-
 // uv reads an unsigned varint; a truncated or overlong encoding is an error,
 // never a panic.
 func (r *frameReader) uv() uint64 {
@@ -520,6 +346,18 @@ func (r *frameReader) uv() uint64 {
 	}
 	r.off += n
 	return v
+}
+
+// count reads an element count. Every element takes at least one byte, so
+// a count beyond the bytes left marks a truncated or corrupt frame; checking
+// before the int conversion keeps a huge varint from going negative.
+func (r *frameReader) count() int {
+	v := r.uv()
+	if r.err == nil && v > uint64(len(r.b)-r.off) {
+		r.err = errTruncated
+		return 0
+	}
+	return int(v)
 }
 
 // zz reads a zigzag-encoded signed varint.

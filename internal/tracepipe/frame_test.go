@@ -1,7 +1,9 @@
 package tracepipe
 
 import (
+	"encoding/binary"
 	"reflect"
+	"strings"
 	"testing"
 
 	"ktau/internal/ktau"
@@ -77,6 +79,21 @@ func TestFrameDecodeRejectsGarbage(t *testing.T) {
 	if _, err := DecodeFrame(bad); err == nil {
 		t.Error("bad magic must fail")
 	}
+	// An element count with the top bit set must error, not go negative and
+	// panic in an allocation.
+	huge := binary.LittleEndian.AppendUint32(nil, TraceMagic)
+	huge = binary.LittleEndian.AppendUint32(huge, TraceVersion)
+	huge = append(huge, make([]byte, 10)...) // empty node name, zero counters
+	huge = binary.AppendUvarint(huge, 1<<63) // name-dictionary size
+	if _, err := DecodeFrame(huge); err == nil {
+		t.Error("oversized name count must fail")
+	}
+	// The retired fixed-width v1 layout is no longer accepted.
+	v1 := append([]byte(nil), blob...)
+	binary.LittleEndian.PutUint32(v1[4:], 1)
+	if _, err := DecodeFrame(v1); err == nil || !strings.Contains(err.Error(), "unsupported frame version 1") {
+		t.Errorf("version-1 header: err = %v, want unsupported frame version", err)
+	}
 }
 
 func TestFrameDictionarySharesNames(t *testing.T) {
@@ -92,44 +109,33 @@ func TestFrameDictionarySharesNames(t *testing.T) {
 	perRec := float64(hundred-one) / 99
 	// Dictionary + varint delta encoding: a repeated-name record is a small
 	// TSC delta, a dictionary index, a kind byte and a zero value — a handful
-	// of bytes, not the 21 the fixed-width v1 layout spent.
+	// of bytes, not the 21 a fixed-width layout spends.
 	if perRec > 8 {
 		t.Fatalf("per-record cost %.1f bytes suggests varint delta encoding regressed", perRec)
 	}
 }
 
-// TestFrameV1Decode pins backward compatibility: a frame encoded with the
-// legacy fixed-width v1 layout must still decode, minus the fields v1 has no
-// room for (Throttle, Sampled).
-func TestFrameV1Decode(t *testing.T) {
-	f := sampleFrame()
-	got, err := DecodeFrame(EncodeFrameV1(f))
-	if err != nil {
-		t.Fatal(err)
+// FuzzDecodeFrame feeds arbitrary bytes to the sink-side decoder — the only
+// input the collector takes from the simulated wire, which faultsim corrupts
+// on purpose. Decoding must never panic, and whatever decodes must survive
+// an encode→decode round trip unchanged.
+func FuzzDecodeFrame(f *testing.F) {
+	for _, fr := range []Frame{sampleFrame(), Frame{Node: "n0", Round: 0}} {
+		blob := EncodeFrame(fr)
+		f.Add(blob)
+		f.Add(blob[:len(blob)/2])
 	}
-	want := f
-	want.Throttle = 0
-	for i := range want.Streams {
-		want.Streams[i].Sampled = 0
-	}
-	if !reflect.DeepEqual(want, got) {
-		t.Fatalf("v1 round trip mismatch:\n in: %+v\nout: %+v", want, got)
-	}
-	// v1 truncations must also error, never panic.
-	blob := EncodeFrameV1(f)
-	for n := 0; n < len(blob); n++ {
-		if _, err := DecodeFrame(blob[:n]); err == nil {
-			t.Fatalf("v1 truncation at %d decoded without error", n)
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		fr, err := DecodeFrame(blob)
+		if err != nil {
+			return
 		}
-	}
-}
-
-// TestFrameV2Smaller pins the point of the varint layout: the same frame
-// must encode strictly smaller than the v1 fixed-width layout.
-func TestFrameV2Smaller(t *testing.T) {
-	f := sampleFrame()
-	v2, v1 := len(EncodeFrame(f)), len(EncodeFrameV1(f))
-	if v2 >= v1 {
-		t.Fatalf("v2 frame is %d bytes, v1 is %d — varint layout must be smaller", v2, v1)
-	}
+		again, err := DecodeFrame(EncodeFrame(fr))
+		if err != nil {
+			t.Fatalf("re-encoded frame does not decode: %v", err)
+		}
+		if !reflect.DeepEqual(fr, again) {
+			t.Fatalf("decode→encode→decode unstable:\n got %+v\nwant %+v", again, fr)
+		}
+	})
 }

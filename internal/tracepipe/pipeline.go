@@ -15,25 +15,27 @@
 // drop/loss/backlog self-metrics alongside the perfmon views, and writes a
 // whole-cluster Perfetto-loadable trace.
 //
-// The pipeline inherits perfmon's fault discipline: agents retry transient
-// procfs errors with bounded backoff and self-report rounds that stayed
-// unreadable; a send that times out drops the frame (counted, never silent)
-// and re-elects a live collector when the old one died; sinks receive with
-// timeouts, count-and-drop damaged frames, and mark silent nodes down.
+// Frames travel over the agent→collector transport perfmon also uses
+// (internal/collect), so the pipeline shares perfmon's fault discipline: a
+// send that times out re-elects a live collector when the old one died and
+// reconnects, a frame that still cannot be shipped is dropped (counted in
+// the agent's next frame, never silent), and sinks receive with timeouts,
+// count-and-drop damaged frames, and mark silent nodes down. Agents retry
+// transient procfs errors with bounded backoff and self-report rounds that
+// stayed unreadable.
 package tracepipe
 
 import (
 	"errors"
-	"sync"
+	"fmt"
 	"time"
 
 	"ktau/internal/cluster"
+	"ktau/internal/collect"
 	"ktau/internal/kernel"
 	"ktau/internal/ktau"
 	"ktau/internal/libktau"
-	"ktau/internal/perfmon"
 	"ktau/internal/sim"
-	"ktau/internal/tcpsim"
 )
 
 // UserSource exposes one process's user-level (TAU) trace ring to the
@@ -68,8 +70,6 @@ type Config struct {
 	// ShipCostPerKB models agent-side processing cost per KiB of trace data
 	// each round (default 20us/KB, as KTAUD).
 	ShipCostPerKB time.Duration
-	// Collector overrides the election result when >= 0 (default -1).
-	Collector int
 	// ReadRetries bounds how many times an agent retries a failed trace
 	// read within one round before skipping the ring (default 3).
 	ReadRetries int
@@ -118,83 +118,13 @@ func (c *Config) defaults() {
 	}
 }
 
-// link carries the Go-side payload queue of one agent→collector trace
-// connection, with the same determinism argument as the perfmon link: a
-// payload is pushed at send time, at least one wire latency (= one window
-// barrier) before the sink can have received the matching preamble bytes.
-type link struct {
-	nodeIdx   int
-	sinkNode  int
-	agentConn *tcpsim.Conn
-	sinkConn  *tcpsim.Conn
-
-	mu       sync.Mutex
-	pending  [][]byte
-	replaced bool
-}
-
-// push enqueues one encoded frame. The queue owns its payloads — p is copied
-// out, so callers may pass a scratch buffer they will overwrite next round.
-func (l *link) push(p []byte) {
-	cp := append(make([]byte, 0, len(p)), p...)
-	l.mu.Lock()
-	l.pending = append(l.pending, cp)
-	l.mu.Unlock()
-}
-
-func (l *link) peek() ([]byte, bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if len(l.pending) == 0 {
-		return nil, false
-	}
-	return l.pending[0], true
-}
-
-func (l *link) popFront() {
-	l.mu.Lock()
-	if len(l.pending) > 0 {
-		l.pending = l.pending[1:]
-	}
-	l.mu.Unlock()
-}
-
-func (l *link) empty() bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.pending) == 0
-}
-
-func (l *link) clearPending() {
-	l.mu.Lock()
-	l.pending = nil
-	l.mu.Unlock()
-}
-
-// retire marks the link abandoned by its agent. Runs on the sink node's
-// engine.
-func (l *link) retire() {
-	l.mu.Lock()
-	l.pending = nil
-	l.replaced = true
-	l.mu.Unlock()
-}
-
-func (l *link) isReplaced() bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.replaced
-}
-
 // Pipeline is a deployed trace pipeline.
 type Pipeline struct {
-	cfg Config
-	c   *cluster.Cluster
-	col *Collector
-
-	agents    []*kernel.Task
-	agentDone []bool
-	stopped   bool
+	cfg     Config
+	c       *cluster.Cluster
+	col     *Collector
+	tr      *collect.Transport[Frame]
+	stopped bool
 
 	// Adaptive-mode state. ad/focus are defaulted copies of the config's
 	// pointers; polBoxes[i] is node i's pushed-policy slot (written by posts
@@ -207,47 +137,34 @@ type Pipeline struct {
 	stats      []*agentStats
 	lastPushed []Policy
 	nextFocus  sim.Time
-
-	// mu guards the collector-side bookkeeping (mutated only in collector
-	// engine contexts, read back once the cluster is quiescent).
-	mu         sync.Mutex
-	collector  int
-	sinks      []*kernel.Task
-	failovers  int
-	downMarked map[int]bool
 }
 
-// Deploy elects a collector (sharing perfmon's election: most CPUs, lowest
-// index, judged from barrier-published crash views), connects every other
-// node to it over the simulated network, and spawns the per-node trace
-// agent daemons ("ktraced") plus one sink per connection on the collector.
-// Call before driving the workload; Stop and drain afterwards.
+// Deploy elects a collector (collect.Elect), connects every other node to it
+// over the simulated network, and spawns the per-node trace agent daemons
+// ("ktraced") plus one sink per connection on the collector
+// ("ktrace-sink"). Call before driving the workload; Stop and drain
+// afterwards.
 func Deploy(c *cluster.Cluster, cfg Config) (*Pipeline, error) {
 	cfg.defaults()
-	if len(c.Nodes) == 0 {
-		return nil, errors.New("tracepipe: cannot deploy on an empty cluster")
-	}
-	c.PublishViews()
-	collector := cfg.Collector
-	if cfg.Collector == 0 && len(c.Nodes) > 0 {
-		// Zero value means "elect" for ergonomic configs; explicit node 0 is
-		// still reachable because election picks it on uniform clusters.
-		collector = -1
-	}
-	if collector < 0 || collector >= len(c.Nodes) || c.Node(collector).K.CrashedSeen() {
-		collector = perfmon.Elect(c)
-	}
-	if collector < 0 {
-		return nil, errors.New("tracepipe: no live node to collect on")
+	tr, err := collect.New(c, collect.Spec[Frame]{
+		AgentTask:     "ktraced",
+		SinkTask:      "ktrace-sink",
+		Decode:        DecodeFrame,
+		Last:          func(f Frame) bool { return f.Last },
+		CostPerKB:     cfg.ShipCostPerKB,
+		RecvTimeout:   cfg.RecvTimeout,
+		SendTimeout:   cfg.SendTimeout,
+		PeerDownAfter: cfg.PeerDownAfter,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("tracepipe: %w", err)
 	}
 	tp := &Pipeline{
-		cfg:        cfg,
-		c:          c,
-		col:        NewCollector(len(c.Nodes), c.Node(0).K.Params().HZ),
-		collector:  collector,
-		agentDone:  make([]bool, len(c.Nodes)),
-		downMarked: make(map[int]bool),
-		stats:      make([]*agentStats, len(c.Nodes)),
+		cfg:   cfg,
+		c:     c,
+		col:   NewCollector(len(c.Nodes), c.Node(0).K.Params().HZ),
+		tr:    tr,
+		stats: make([]*agentStats, len(c.Nodes)),
 	}
 	if cfg.Focus != nil && cfg.Adaptive == nil {
 		return nil, errors.New("tracepipe: Focus requires Adaptive")
@@ -275,71 +192,32 @@ func Deploy(c *cluster.Cluster, cfg Config) (*Pipeline, error) {
 	for i, n := range c.Nodes {
 		tp.col.SetNodeName(i, n.Name)
 	}
-	for i, n := range c.Nodes {
-		if i == collector {
-			tp.agents = append(tp.agents, tp.spawnAgent(i, n, collector, nil))
-			continue
-		}
-		agentConn, sinkConn := tcpsim.Connect(n.Stack, c.Node(collector).Stack)
-		l := &link{nodeIdx: i, sinkNode: collector, agentConn: agentConn, sinkConn: sinkConn}
-		tp.agents = append(tp.agents, tp.spawnAgent(i, n, collector, l))
-		tp.sinks = append(tp.sinks, tp.spawnSink(c.Node(collector), l))
-	}
-	c.Runner.OnBarrier(tp.publishViews)
+	// Start registers the transport's barrier hook after the focus loop.
+	tr.Start(tp.col, tp.agent)
 	return tp, nil
-}
-
-// publishViews refreshes the barrier-published agent-exit flags sinks read.
-func (tp *Pipeline) publishViews() {
-	for i, t := range tp.agents {
-		tp.agentDone[i] = t.Exited()
-	}
 }
 
 // Store returns the collector's trace store (merge, flows, exports).
 func (tp *Pipeline) Store() *Collector { return tp.col }
 
-// CollectorNode returns the current collector node index.
-func (tp *Pipeline) CollectorNode() int {
-	tp.mu.Lock()
-	defer tp.mu.Unlock()
-	return tp.collector
-}
+// Collector returns the current collector node index (it changes when the
+// elected node dies and the agents fail over).
+func (tp *Pipeline) Collector() int { return tp.tr.Collector() }
 
 // Failovers returns how many collector re-elections have happened.
-func (tp *Pipeline) Failovers() int {
-	tp.mu.Lock()
-	defer tp.mu.Unlock()
-	return tp.failovers
-}
+func (tp *Pipeline) Failovers() int { return tp.tr.Failovers() }
 
 // Config returns the deployment configuration (defaults applied).
 func (tp *Pipeline) Config() Config { return tp.cfg }
 
 // Tasks returns every task the deployment spawned (agents then sinks).
 // Failover spawns replacement sinks, so re-query after driving the engine.
-func (tp *Pipeline) Tasks() []*kernel.Task {
-	tp.mu.Lock()
-	defer tp.mu.Unlock()
-	out := make([]*kernel.Task, 0, len(tp.agents)+len(tp.sinks))
-	out = append(out, tp.agents...)
-	out = append(out, tp.sinks...)
-	return out
-}
-
-// Agents returns the per-node trace daemons (node order).
-func (tp *Pipeline) Agents() []*kernel.Task { return tp.agents }
+func (tp *Pipeline) Tasks() []*kernel.Task { return tp.tr.Tasks() }
 
 // Stop asks every agent to perform one final drain round (flagged Last) and
 // exit; sinks exit after ingesting the final frame. Drive the engine
 // afterwards to drain the pipeline.
 func (tp *Pipeline) Stop() { tp.stopped = true }
-
-// agentRoute is one agent's private view of where its frames go.
-type agentRoute struct {
-	collector int
-	l         *link
-}
 
 // streamMeta is one stream's per-agent bookkeeping: the cumulative lost and
 // sampled-out counters, and the values last shipped to the collector (so a
@@ -372,11 +250,11 @@ func (st *agentStats) stream(key streamKey) *streamMeta {
 	return m
 }
 
-// spawnAgent starts the per-node trace daemon ("ktraced"). Kernel rings are
+// agent returns the body of node idx's trace daemon. Kernel rings are
 // drained through the node's shared procfs instance (so injected procfs
 // faults reach the trace reads), user rings and message logs through the
 // configured sources.
-func (tp *Pipeline) spawnAgent(idx int, n *cluster.Node, collector int, l *link) *kernel.Task {
+func (tp *Pipeline) agent(idx int, n *cluster.Node, route *collect.Route[Frame]) func(*kernel.UCtx) {
 	h := libktau.Open(n.FS)
 	cfg := tp.cfg
 	// The sampler draws from a stream derived at deployment time (never from
@@ -389,8 +267,7 @@ func (tp *Pipeline) spawnAgent(idx int, n *cluster.Node, collector int, l *link)
 	}
 	st := &agentStats{streams: make(map[streamKey]*streamMeta)}
 	tp.stats[idx] = st
-	return n.K.Spawn("ktraced", func(u *kernel.UCtx) {
-		route := &agentRoute{collector: collector, l: l}
+	return func(u *kernel.UCtx) {
 		var thr throttle
 		var encBuf []byte // frame-encode scratch, reused every round
 		for round := 0; ; round++ {
@@ -420,7 +297,7 @@ func (tp *Pipeline) spawnAgent(idx int, n *cluster.Node, collector int, l *link)
 			// User-space processing: ring walks + dictionary encode.
 			u.Compute(time.Duration(len(payload)/1024+1) * cfg.ShipCostPerKB)
 
-			shipped := tp.ship(route, idx, n, u, f, payload)
+			shipped := route.Ship(u, f, payload)
 			if !shipped {
 				st.dropped++
 				st.droppedRecs += uint64(f.records())
@@ -432,7 +309,7 @@ func (tp *Pipeline) spawnAgent(idx int, n *cluster.Node, collector int, l *link)
 				return
 			}
 		}
-	}, kernel.SpawnOpts{Kind: kernel.KindDaemon})
+	}
 }
 
 // drainRound drains every ring on the node into one frame: kernel trace
@@ -574,154 +451,4 @@ func (tp *Pipeline) drainRound(u *kernel.UCtx, h libktau.Handle, idx int,
 	f.Dropped = st.dropped
 	f.DroppedRecs = st.droppedRecs
 	return f
-}
-
-// retireLink tells the link's sink — in the sink's own engine context — that
-// the agent abandoned it.
-func (tp *Pipeline) retireLink(idx int, l *link) {
-	tp.c.CrossCall(idx, l.sinkNode, l.retire)
-}
-
-// noteFailover records one collector transition on the (new) collector's
-// side. Runs in the new collector's engine context.
-func (tp *Pipeline) noteFailover(dead int, newCollector int) {
-	tp.mu.Lock()
-	tp.collector = newCollector
-	first := dead >= 0 && !tp.downMarked[dead]
-	if first {
-		tp.downMarked[dead] = true
-		tp.failovers++
-	}
-	tp.mu.Unlock()
-	if first {
-		tp.col.MarkDown(dead)
-	}
-}
-
-// ship delivers one frame to the agent's current collector and reports
-// whether it was handed off (locally ingested, or accepted by the
-// transport). A send that times out means the collector is unreachable —
-// the agent re-elects and reconnects, re-shipping this frame on the fresh
-// link.
-func (tp *Pipeline) ship(route *agentRoute, idx int, n *cluster.Node,
-	u *kernel.UCtx, f Frame, payload []byte) bool {
-	if route.collector == idx {
-		tp.col.Ingest(f, 0)
-		return true
-	}
-	if route.l != nil {
-		route.l.push(payload)
-		if route.l.agentConn.SendTimeout(u, TraceHeaderBytes+len(payload), tp.cfg.SendTimeout) {
-			return true
-		}
-		// The send stalled: the stream (and anything queued on it) is lost.
-		tp.retireLink(idx, route.l)
-		route.l = nil
-	}
-	return tp.reroute(route, idx, n, u, f, payload)
-}
-
-// reroute reconnects a node to a live collector after its link broke,
-// re-electing first when the collector node itself died. Collector-side
-// bookkeeping is posted to the new collector's engine through the runner.
-func (tp *Pipeline) reroute(route *agentRoute, idx int, n *cluster.Node,
-	u *kernel.UCtx, f Frame, payload []byte) bool {
-	dead := -1
-	if route.collector < 0 || tp.c.Node(route.collector).K.CrashedSeen() {
-		dead = route.collector
-		next := perfmon.Elect(tp.c)
-		if next < 0 {
-			// Nobody left to collect on: degrade to silence.
-			route.collector = -1
-			route.l = nil
-			return false
-		}
-		route.collector = next
-	}
-	if route.collector == idx {
-		route.l = nil
-		tp.noteFailover(dead, idx)
-		tp.col.Ingest(f, 0)
-		return true
-	}
-	cn := tp.c.Node(route.collector)
-	agentConn, sinkConn := tcpsim.Connect(n.Stack, cn.Stack)
-	l := &link{nodeIdx: idx, sinkNode: route.collector, agentConn: agentConn, sinkConn: sinkConn}
-	route.l = l
-	newCollector := route.collector
-	tp.c.CrossCall(idx, newCollector, func() {
-		tp.noteFailover(dead, newCollector)
-		sink := tp.spawnSink(cn, l)
-		tp.mu.Lock()
-		tp.sinks = append(tp.sinks, sink)
-		tp.mu.Unlock()
-	})
-	l.push(payload)
-	if !l.agentConn.SendTimeout(u, TraceHeaderBytes+len(payload), tp.cfg.SendTimeout) {
-		// Still unreachable: give up on this frame; the next round retries
-		// the whole path.
-		tp.c.CrossCall(idx, l.sinkNode, l.clearPending)
-		return false
-	}
-	return true
-}
-
-// spawnSink starts one collector-side receiver for a link. Damaged or
-// desynced frames are counted and dropped, never fatal; a link that stays
-// silent is diagnosed and the sink always exits rather than blocking.
-func (tp *Pipeline) spawnSink(n *cluster.Node, l *link) *kernel.Task {
-	cfg := tp.cfg
-	return n.K.Spawn("ktrace-sink", func(u *kernel.UCtx) {
-		node := tp.c.Node(l.nodeIdx)
-		timeouts := 0
-		for {
-			if !l.sinkConn.RecvTimeout(u, TraceHeaderBytes, cfg.RecvTimeout) {
-				timeouts++
-				if l.isReplaced() {
-					return
-				}
-				if node.K.CrashedSeen() {
-					tp.col.MarkDown(l.nodeIdx)
-					return
-				}
-				if tp.agentDone[l.nodeIdx] && l.empty() {
-					return
-				}
-				if timeouts >= cfg.PeerDownAfter {
-					tp.col.MarkDown(l.nodeIdx)
-					return
-				}
-				continue
-			}
-			timeouts = 0
-			payload, ok := l.peek()
-			if !ok {
-				tp.col.DropFrame(l.nodeIdx)
-				continue
-			}
-			if !l.sinkConn.RecvTimeout(u, len(payload), cfg.RecvTimeout) {
-				timeouts++
-				if l.isReplaced() || node.K.CrashedSeen() || timeouts >= cfg.PeerDownAfter {
-					tp.col.DropFrame(l.nodeIdx)
-					if node.K.CrashedSeen() || timeouts >= cfg.PeerDownAfter {
-						tp.col.MarkDown(l.nodeIdx)
-					}
-					return
-				}
-				continue
-			}
-			l.popFront()
-			corrupt := l.sinkConn.TakeCorrupt()
-			f, err := DecodeFrame(payload)
-			if corrupt || err != nil {
-				tp.col.DropFrame(l.nodeIdx)
-				continue
-			}
-			u.Compute(time.Duration(len(payload)/1024+1) * cfg.ShipCostPerKB)
-			tp.col.Ingest(f, TraceHeaderBytes+len(payload))
-			if f.Last {
-				return
-			}
-		}
-	}, kernel.SpawnOpts{Kind: kernel.KindDaemon})
 }

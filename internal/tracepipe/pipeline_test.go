@@ -86,8 +86,8 @@ func TestPipelineEndToEnd(t *testing.T) {
 	if !c.RunUntilDone(tp.Tasks(), time.Minute) {
 		t.Fatal("pipeline did not drain")
 	}
-	if tp.CollectorNode() != 0 {
-		t.Fatalf("collector = %d, want 0 (uniform cluster)", tp.CollectorNode())
+	if tp.Collector() != 0 {
+		t.Fatalf("collector = %d, want 0 (uniform cluster)", tp.Collector())
 	}
 	stats := tp.Store().Stats()
 	if len(stats) != testNodes {
@@ -103,7 +103,7 @@ func TestPipelineEndToEnd(t *testing.T) {
 		if s.UserRecords != 2*rounds {
 			t.Errorf("%s shipped %d user records, want %d", s.Node, s.UserRecords, 2*rounds)
 		}
-		if s.NodeIdx == tp.CollectorNode() {
+		if s.NodeIdx == tp.Collector() {
 			if s.WireBytes != 0 {
 				t.Errorf("collector self-ingest counted %d wire bytes", s.WireBytes)
 			}

@@ -279,7 +279,7 @@ func traceSection(s *Section, res *experiments.LiveResult) {
 	s.AddFactf("records", "%d ingested, %d MPI endpoint events, %d flows correlated, %d sampled out",
 		recs, msgs, len(st.Flows()), st.SampledOut())
 	s.AddFactf("collector node", "%d (failovers %d, drained %v)",
-		res.Trace.CollectorNode(), res.Trace.Failovers(), res.TraceDrained)
+		res.Trace.Collector(), res.Trace.Failovers(), res.TraceDrained)
 	traceStatsTable(s, st.Stats())
 }
 

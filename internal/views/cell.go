@@ -247,7 +247,7 @@ func BuildTrace(res *experiments.ClusterTraceResult) *Report {
 	s.AddFactf("volume", "%d records, %d MPI endpoint events, %d correlated flows, %d sampled out",
 		res.Records, res.MsgEvents, len(res.Flows), res.SampledOut)
 	s.AddFactf("collector node", "%d (failovers %d, drained %v)",
-		res.Live.Trace.CollectorNode(), res.Live.Trace.Failovers(), res.TraceDrainedOK())
+		res.Live.Trace.Collector(), res.Live.Trace.Failovers(), res.TraceDrainedOK())
 	traceStatsTable(s, res.Stats)
 	noiseOverlay(r.AddSection("OS-noise overlay"), res.Live.Noise)
 	pipelineHealth(r.AddSection("Profile collection pipeline"), res.Live.Store)
