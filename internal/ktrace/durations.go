@@ -1,7 +1,8 @@
 package ktrace
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"ktau/internal/ktau"
 )
@@ -55,8 +56,8 @@ func SummariseDurations(durs map[string][]int64) []DurationStats {
 		if len(ds) == 0 {
 			continue
 		}
-		s := append([]int64(nil), ds...)
-		sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+		s := slices.Clone(ds)
+		slices.Sort(s)
 		var sum int64
 		for _, v := range s {
 			sum += v
@@ -71,11 +72,8 @@ func SummariseDurations(durs map[string][]int64) []DurationStats {
 			Mean:   float64(sum) / float64(len(s)),
 		})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
-		}
-		return out[i].Name < out[j].Name
+	slices.SortFunc(out, func(a, b DurationStats) int {
+		return cmp.Or(cmp.Compare(b.Count, a.Count), cmp.Compare(a.Name, b.Name))
 	})
 	return out
 }

@@ -6,9 +6,10 @@
 package ktrace
 
 import (
+	"cmp"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strings"
 
 	"ktau/internal/ktau"
@@ -41,7 +42,7 @@ func Merge(user []tau.Record, kern []ktau.Record, nameOf func(ktau.EventID) stri
 			TSC: r.TSC, Name: nameOf(r.Ev), Kernel: true, Kind: r.Kind, Val: r.Val,
 		})
 	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].TSC < out[j].TSC })
+	slices.SortStableFunc(out, func(a, b Event) int { return cmp.Compare(a.TSC, b.TSC) })
 	return out
 }
 

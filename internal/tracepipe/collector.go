@@ -1,10 +1,11 @@
 package tracepipe
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"sync"
 
 	"ktau/internal/promfmt"
@@ -408,15 +409,20 @@ func (c *Collector) sortedStreamKeys() []streamKey {
 	for k := range c.streams {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
+	slices.SortFunc(keys, func(a, b streamKey) int {
 		if a.NodeIdx != b.NodeIdx {
-			return a.NodeIdx < b.NodeIdx
+			return cmp.Compare(a.NodeIdx, b.NodeIdx)
 		}
 		if a.PID != b.PID {
-			return a.PID < b.PID
+			return cmp.Compare(a.PID, b.PID)
 		}
-		return !a.Kernel && b.Kernel
+		switch {
+		case a.Kernel == b.Kernel:
+			return 0
+		case b.Kernel:
+			return -1
+		}
+		return 1
 	})
 	return keys
 }

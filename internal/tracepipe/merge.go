@@ -1,11 +1,12 @@
 package tracepipe
 
 import (
-	"encoding/json"
+	"cmp"
 	"io"
-	"sort"
+	"slices"
 
 	"ktau/internal/ktau"
+	"ktau/internal/ktrace"
 )
 
 // ClusterEvent is one record of the merged whole-cluster timeline.
@@ -42,27 +43,121 @@ type Flow struct {
 // The result is therefore byte-identical however many workers drove the
 // simulation and in whatever order frames arrived.
 func (c *Collector) Merged() []ClusterEvent {
+	v := c.view()
+	out := make([]ClusterEvent, 0, v.records)
+	v.merge(func(i int, r *Rec) {
+		key := v.keys[i]
+		out = append(out, ClusterEvent{
+			NodeIdx: key.NodeIdx, Node: v.nodeName(key.NodeIdx),
+			PID: key.PID, Task: v.tasks[i], Kernel: key.Kernel,
+			Name: r.Name, Kind: r.Kind, Val: r.Val, TSC: r.TSC,
+		})
+	})
+	return out
+}
+
+// view is one consistent snapshot of the collector for the merged views,
+// taken under a single acquisition of mu: a concurrent Ingest can never
+// leave the merge, the flows and the track names disagreeing. Ingest only
+// appends, so the captured slices stay valid after mu is released.
+type view struct {
+	keys    []streamKey // in sortedStreamKeys order
+	tasks   []string    // per key
+	recs    [][]Rec     // per key, TSC-ordered
+	records int         // sum of len(recs[i])
+	nodes   []string    // display name by node index
+	msgs    []nodeMsg
+}
+
+func (c *Collector) view() *view {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]ClusterEvent, 0, 1024)
-	for _, key := range c.sortedStreamKeys() {
+	v := &view{keys: c.sortedStreamKeys(), msgs: c.msgs}
+	v.tasks = make([]string, len(v.keys))
+	v.recs = make([][]Rec, len(v.keys))
+	for i, key := range v.keys {
 		st := c.streams[key]
-		name := ""
-		if key.NodeIdx < len(c.nodes) {
-			name = c.nodes[key.NodeIdx].name
+		v.tasks[i], v.recs[i] = st.task, st.recs
+	}
+	v.nodes = make([]string, len(c.nodes))
+	for i, n := range c.nodes {
+		v.nodes[i] = n.name
+	}
+	c.mu.Unlock()
+
+	// A stream is in ring order, which is not always TSC order: a kernel
+	// probe that nests inside another (scheduler_tick inside do_IRQ[timer])
+	// can be stamped before the record ahead of it. Such a stream is
+	// stable-sorted as a copy; the stored records are never reordered.
+	for i, rs := range v.recs {
+		if !slices.IsSortedFunc(rs, cmpTSC) {
+			rs = slices.Clone(rs)
+			slices.SortStableFunc(rs, cmpTSC)
+			v.recs[i] = rs
 		}
-		for _, r := range st.recs {
-			out = append(out, ClusterEvent{
-				NodeIdx: key.NodeIdx, Node: name,
-				PID: key.PID, Task: st.task, Kernel: key.Kernel,
-				Name: r.Name, Kind: r.Kind, Val: r.Val, TSC: r.TSC,
-			})
+		v.records += len(rs)
+	}
+	return v
+}
+
+func cmpTSC(a, b Rec) int { return cmp.Compare(a.TSC, b.TSC) }
+
+// nodeName is a node's display name, empty for an index the collector has
+// never seen.
+func (v *view) nodeName(idx int) string {
+	if idx < 0 || idx >= len(v.nodes) {
+		return ""
+	}
+	return v.nodes[idx]
+}
+
+// merge calls fn for every record in (TSC, stream index, stream position)
+// order: the order a stable sort by TSC gives the streams concatenated in
+// key order. It is a k-way merge over the TSC-ordered streams, with a
+// binary min-heap of each stream's next record keyed by (TSC, stream).
+func (v *view) merge(fn func(stream int, r *Rec)) {
+	type head struct {
+		tsc    int64
+		stream int
+	}
+	less := func(a, b head) bool { return a.tsc < b.tsc || a.tsc == b.tsc && a.stream < b.stream }
+	h := make([]head, 0, len(v.recs))
+	for i, rs := range v.recs {
+		if len(rs) > 0 {
+			h = append(h, head{rs[0].TSC, i})
 		}
 	}
-	// Records are pre-ordered by (node, pid, stream, position); the stable
-	// sort by TSC preserves that order among equal timestamps.
-	sort.SliceStable(out, func(i, j int) bool { return out[i].TSC < out[j].TSC })
-	return out
+	down := func(i int) {
+		for {
+			m, l := i, 2*i+1
+			if l < len(h) && less(h[l], h[m]) {
+				m = l
+			}
+			if r := l + 1; r < len(h) && less(h[r], h[m]) {
+				m = r
+			}
+			if m == i {
+				return
+			}
+			h[i], h[m] = h[m], h[i]
+			i = m
+		}
+	}
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		down(i)
+	}
+	pos := make([]int, len(v.recs))
+	for len(h) > 0 {
+		s := h[0].stream
+		rs := v.recs[s]
+		fn(s, &rs[pos[s]])
+		if pos[s]++; pos[s] < len(rs) {
+			h[0].tsc = rs[pos[s]].TSC
+		} else {
+			h[0] = h[len(h)-1]
+			h = h[:len(h)-1]
+		}
+		down(0)
+	}
 }
 
 // Flows correlates the ingested MPI endpoint events into completed
@@ -71,14 +166,19 @@ func (c *Collector) Merged() []ClusterEvent {
 // uncorrelated and are omitted.
 func (c *Collector) Flows() []Flow {
 	c.mu.Lock()
-	defer c.mu.Unlock()
+	msgs := c.msgs
+	c.mu.Unlock()
+	return correlate(msgs)
+}
+
+func correlate(msgs []nodeMsg) []Flow {
 	type key struct {
 		src, dst, tag int
 		seq           uint64
 	}
-	sends := make(map[key]nodeMsg, len(c.msgs)/2)
-	recvs := make(map[key]nodeMsg, len(c.msgs)/2)
-	for _, nm := range c.msgs {
+	sends := make(map[key]nodeMsg, len(msgs)/2)
+	recvs := make(map[key]nodeMsg, len(msgs)/2)
+	for _, nm := range msgs {
 		k := key{src: nm.m.Src, dst: nm.m.Dst, tag: nm.m.Tag, seq: nm.m.Seq}
 		if nm.m.Send {
 			sends[k] = nm
@@ -99,34 +199,12 @@ func (c *Collector) Flows() []Flow {
 			SendTSC: s.m.EndTSC, RecvTSC: r.m.EndTSC,
 		})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Src != b.Src {
-			return a.Src < b.Src
-		}
-		if a.Dst != b.Dst {
-			return a.Dst < b.Dst
-		}
-		if a.Tag != b.Tag {
-			return a.Tag < b.Tag
-		}
-		return a.Seq < b.Seq
+	// (Src, Dst, Tag, Seq) is unique per flow, so any sort gives one order.
+	slices.SortFunc(out, func(a, b Flow) int {
+		return cmp.Or(cmp.Compare(a.Src, b.Src), cmp.Compare(a.Dst, b.Dst),
+			cmp.Compare(a.Tag, b.Tag), cmp.Compare(a.Seq, b.Seq))
 	})
 	return out
-}
-
-// chromeEvent is one entry of the Chrome trace-event JSON array format.
-// Marshalling through encoding/json keeps every name correctly escaped.
-type chromeEvent struct {
-	Name   string         `json:"name"`
-	Cat    string         `json:"cat,omitempty"`
-	Phase  string         `json:"ph"`
-	TS     float64        `json:"ts"` // microseconds
-	PID    int            `json:"pid"`
-	TID    int            `json:"tid"`
-	ID     int            `json:"id,omitempty"`
-	BindPt string         `json:"bp,omitempty"`
-	Args   map[string]any `json:"args,omitempty"`
 }
 
 // trackID maps one ring's stream onto a Chrome thread track: each task gets
@@ -144,16 +222,17 @@ func trackID(pid int, kernel bool) int {
 // trace-event JSON array, loadable in Perfetto or chrome://tracing: one
 // process per node, one pair of tracks (user + kernel) per task, and flow
 // arrows for every correlated MPI message. Output is deterministic and
-// byte-identical across serial and parallel runs of the same seed.
+// byte-identical across serial and parallel runs of the same seed. Events
+// stream from the merge to w; the document is never held whole.
 func (c *Collector) WriteChromeTrace(w io.Writer) error {
-	merged := c.Merged()
-	flows := c.Flows()
+	v := c.view()
+	flows := correlate(v.msgs)
 
 	var base int64
 	haveBase := false
-	for _, e := range merged {
-		if !haveBase || e.TSC < base {
-			base, haveBase = e.TSC, true
+	for _, rs := range v.recs {
+		if len(rs) > 0 && (!haveBase || rs[0].TSC < base) {
+			base, haveBase = rs[0].TSC, true
 		}
 	}
 	for _, f := range flows {
@@ -167,72 +246,67 @@ func (c *Collector) WriteChromeTrace(w io.Writer) error {
 	}
 	toUS := func(tsc int64) float64 { return float64(tsc-base) / float64(hz) * 1e6 }
 
-	events := make([]chromeEvent, 0, len(merged)+2*len(flows)+64)
+	cw := ktrace.NewChromeWriter(w)
 
 	// Metadata: name each node's process and each stream's track.
-	c.mu.Lock()
-	keys := c.sortedStreamKeys()
-	namedNode := make(map[int]bool)
-	for _, key := range keys {
-		if !namedNode[key.NodeIdx] {
-			namedNode[key.NodeIdx] = true
-			events = append(events, chromeEvent{
+	for i, key := range v.keys {
+		if i == 0 || v.keys[i-1].NodeIdx != key.NodeIdx {
+			cw.WriteEvent(&ktrace.ChromeEvent{
 				Name: "process_name", Phase: "M", PID: key.NodeIdx,
-				Args: map[string]any{"name": c.nodes[key.NodeIdx].name},
+				Args: []ktrace.ChromeArg{{Key: "name", Str: v.nodeName(key.NodeIdx), IsStr: true}},
 			})
-			events = append(events, chromeEvent{
+			cw.WriteEvent(&ktrace.ChromeEvent{
 				Name: "process_sort_index", Phase: "M", PID: key.NodeIdx,
-				Args: map[string]any{"sort_index": key.NodeIdx},
+				Args: []ktrace.ChromeArg{{Key: "sort_index", Int: int64(key.NodeIdx)}},
 			})
 		}
-		task := c.streams[key].task
-		label := task
+		label := v.tasks[i]
 		if key.Kernel {
 			label += " (kernel)"
 		}
-		events = append(events, chromeEvent{
+		cw.WriteEvent(&ktrace.ChromeEvent{
 			Name: "thread_name", Phase: "M", PID: key.NodeIdx, TID: trackID(key.PID, key.Kernel),
-			Args: map[string]any{"name": label},
+			Args: []ktrace.ChromeArg{{Key: "name", Str: label, IsStr: true}},
 		})
 	}
-	c.mu.Unlock()
 
-	for _, e := range merged {
+	v.merge(func(i int, r *Rec) {
+		key := v.keys[i]
 		cat := "user"
-		if e.Kernel {
+		if key.Kernel {
 			cat = "kernel"
 		}
-		ev := chromeEvent{
-			Name: e.Name, Cat: cat, TS: toUS(e.TSC),
-			PID: e.NodeIdx, TID: trackID(e.PID, e.Kernel),
+		ev := ktrace.ChromeEvent{
+			Name: r.Name, Cat: cat, TS: toUS(r.TSC),
+			PID: key.NodeIdx, TID: trackID(key.PID, key.Kernel),
 		}
-		switch e.Kind {
+		switch r.Kind {
 		case ktau.KindEntry:
 			ev.Phase = "B"
 		case ktau.KindExit:
 			ev.Phase = "E"
 		case ktau.KindAtomic:
 			ev.Phase = "i"
-			ev.Args = map[string]any{"value": e.Val}
+			ev.Args = []ktrace.ChromeArg{{Key: "value", Int: r.Val}}
 		default:
-			continue
+			return
 		}
-		events = append(events, ev)
-	}
+		cw.WriteEvent(&ev)
+	})
 
 	for i, f := range flows {
-		args := map[string]any{
-			"src": f.Src, "dst": f.Dst, "tag": f.Tag, "bytes": f.Bytes,
-		}
-		events = append(events, chromeEvent{
+		cw.WriteEvent(&ktrace.ChromeEvent{
 			Name: "MPI_msg", Cat: "mpi", Phase: "s", TS: toUS(f.SendTSC),
-			PID: f.SrcNode, TID: trackID(f.SrcPID, false), ID: i + 1, Args: args,
+			PID: f.SrcNode, TID: trackID(f.SrcPID, false), ID: i + 1,
+			Args: []ktrace.ChromeArg{ // sorted keys
+				{Key: "bytes", Int: int64(f.Bytes)}, {Key: "dst", Int: int64(f.Dst)},
+				{Key: "src", Int: int64(f.Src)}, {Key: "tag", Int: int64(f.Tag)},
+			},
 		})
-		events = append(events, chromeEvent{
+		cw.WriteEvent(&ktrace.ChromeEvent{
 			Name: "MPI_msg", Cat: "mpi", Phase: "f", BindPt: "e", TS: toUS(f.RecvTSC),
 			PID: f.DstNode, TID: trackID(f.DstPID, false), ID: i + 1,
 		})
 	}
-
-	return json.NewEncoder(w).Encode(events)
+	return cw.Close()
 }

@@ -12,6 +12,7 @@
 #                     data-structure packages are the ones with real
 #                     concurrency surface)
 #   go test -fuzz  -- a few seconds of generated inputs on each frame decoder
+#                     and on the streaming Chrome trace writer
 #   ktau-sweep -- the smoke grid runs under a per-cell timeout and is diffed
 #                 against the committed baseline (testdata/sweeps/smoke.json);
 #                 the cross-layer sweep report is diffed byte-for-byte against
@@ -50,12 +51,15 @@ go test -race ./internal/analysis/ ./internal/ktau/ ./internal/ktrace/ ./interna
 echo "== go test -race (fault injection + pipeline + shared transport) =="
 go test -race ./internal/faultsim/ ./internal/perfmon/ ./internal/collect/
 
-echo "== fuzz the frame decoders (5s of generated inputs each) =="
+echo "== fuzz the frame decoders and the Chrome trace writer (5s of generated inputs each) =="
 # go test above already replays each seed corpus; the collector's sinks
 # decode whatever the simulated wire delivers, and faultsim corrupts it on
 # purpose, so every decoder must survive arbitrary bytes.
 go test -run '^$' -fuzz '^FuzzDecodeFrame$' -fuzztime 5s ./internal/perfmon/
 go test -run '^$' -fuzz '^FuzzDecodeFrame$' -fuzztime 5s ./internal/tracepipe/
+# The streaming Chrome writer must write, for any event, the bytes the
+# encoding/json reference writes.
+go test -run '^$' -fuzz '^FuzzChromeEvent$' -fuzztime 5s ./internal/tracepipe/
 
 echo "== go test -race (partitioned runner + cluster + serial/parallel cross-check) =="
 # The sim package covers the partitioned runner itself (latency-matrix
