@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -8,7 +9,7 @@ import (
 	"ktau/internal/sim"
 )
 
-func testKernel(t *testing.T, ncpu int, mut func(*Params)) (*sim.Engine, *Kernel) {
+func testKernel(t testing.TB, ncpu int, mut func(*Params)) (*sim.Engine, *Kernel) {
 	t.Helper()
 	eng := sim.NewEngine()
 	p := DefaultParams()
@@ -429,16 +430,68 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 	}
 }
 
+// TestShutdownReleasesGoroutines checks that Shutdown leaves no task goroutine
+// behind at the moment it returns, with no sleep or poll: tasks never
+// dispatched, tasks suspended mid-Compute or asleep, and a task whose
+// deferred function issues one more request while it unwinds.
 func TestShutdownReleasesGoroutines(t *testing.T) {
+	baseline := runtime.NumGoroutine()
 	eng, k := testKernel(t, 1, nil)
-	blocked := k.Spawn("stuck", func(u *UCtx) {
-		u.Sleep(time.Hour)
-	}, SpawnOpts{})
-	eng.RunUntil(sim.Time(int64(10 * time.Millisecond)))
-	if blocked.Exited() {
-		t.Fatal("task should still be sleeping")
+
+	entered := 0
+	deferRan, deferReturned := false, false
+	tasks := []*Task{k.Spawn("deferred", func(u *UCtx) {
+		entered++
+		defer func() {
+			deferRan = true
+			u.Compute(time.Millisecond)
+			deferReturned = true
+		}()
+		u.Compute(time.Hour)
+	}, SpawnOpts{})}
+	spawn := func(n int) {
+		for i := 0; i < n; i++ {
+			prog := func(u *UCtx) {
+				entered++
+				u.Compute(time.Hour)
+			}
+			if i%2 == 0 {
+				prog = func(u *UCtx) {
+					entered++
+					u.Compute(time.Millisecond)
+					u.Sleep(time.Hour)
+				}
+			}
+			tasks = append(tasks, k.Spawn("t", prog, SpawnOpts{}))
+		}
 	}
-	k.Shutdown() // must not deadlock; cleanup also calls it (idempotent)
+	spawn(24)
+	eng.RunUntil(sim.Time(int64(200 * time.Millisecond)))
+	spawn(25) // runnable, never dispatched: the engine does not step again
+
+	sleeping := 0
+	for _, tk := range tasks {
+		if tk.Exited() {
+			t.Fatalf("task %d exited before Shutdown", tk.PID())
+		}
+		if tk.State() == StateSleeping {
+			sleeping++
+		}
+	}
+	if entered < 2 || entered > 25 || sleeping == 0 {
+		t.Fatalf("want some programs suspended mid-Compute or asleep and the rest never started: entered=%d sleeping=%d", entered, sleeping)
+	}
+	if n := runtime.NumGoroutine(); n < baseline+len(tasks) {
+		t.Fatalf("goroutines before Shutdown = %d, want >= %d (one per task)", n, baseline+len(tasks))
+	}
+
+	k.Shutdown()
+	if n := runtime.NumGoroutine(); n != baseline {
+		t.Errorf("goroutines right after Shutdown = %d, want baseline %d", n, baseline)
+	}
+	if !deferRan || deferReturned {
+		t.Errorf("deferred request during unwind: ran=%v returned=%v, want ran and unwound", deferRan, deferReturned)
+	}
 }
 
 func TestKCtxSleepInsideSyscall(t *testing.T) {
@@ -533,8 +586,15 @@ func TestUserDebtFoldsIntoNextCompute(t *testing.T) {
 }
 
 func TestSpawnAfterShutdownPanics(t *testing.T) {
-	_, k := testKernel(t, 1, nil)
+	eng, k := testKernel(t, 1, nil)
+	task := k.Spawn("sleeper", func(u *UCtx) { u.Sleep(time.Hour) }, SpawnOpts{})
+	eng.RunUntil(sim.Time(int64(10 * time.Millisecond)))
 	k.Shutdown()
+	n, state := runtime.NumGoroutine(), task.State()
+	k.Shutdown() // a no-op
+	if got := runtime.NumGoroutine(); got != n || task.State() != state {
+		t.Errorf("second Shutdown changed goroutines %d -> %d, state %v -> %v", n, got, state, task.State())
+	}
 	defer func() {
 		if recover() == nil {
 			t.Error("expected panic")
@@ -543,26 +603,40 @@ func TestSpawnAfterShutdownPanics(t *testing.T) {
 	k.Spawn("late", func(u *UCtx) {}, SpawnOpts{})
 }
 
+// TestTaskPanicPropagatesToEngine checks that a program's panic reaches
+// eng.Step with exactly the program's value, whether the program panics
+// before its first request or after it has run.
 func TestTaskPanicPropagatesToEngine(t *testing.T) {
-	eng, k := testKernel(t, 1, nil)
-	task := k.Spawn("boom", func(u *UCtx) {
-		u.Compute(time.Millisecond)
-		panic("workload bug")
-	}, SpawnOpts{})
-	_ = task
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("panic did not propagate to the engine goroutine")
-		}
-		if r != "workload bug" {
-			t.Errorf("panic value = %v", r)
-		}
-	}()
-	for i := 0; i < 100000; i++ {
-		if !eng.Step() {
-			break
-		}
+	type bug struct{ n int }
+	ptr := &bug{n: 7}
+	for _, tc := range []struct {
+		name  string
+		v     any
+		after time.Duration // compute before panicking (0 = panic at once)
+	}{
+		{"string-mid-program", "workload bug", time.Millisecond},
+		{"pointer-mid-program", ptr, time.Millisecond},
+		{"pointer-before-first-request", ptr, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng, k := testKernel(t, 1, nil)
+			k.Spawn("boom", func(u *UCtx) {
+				if tc.after > 0 {
+					u.Compute(tc.after)
+				}
+				panic(tc.v)
+			}, SpawnOpts{})
+			defer func() {
+				if r := recover(); r != tc.v {
+					t.Errorf("eng.Step panicked with %#v, want %#v", r, tc.v)
+				}
+			}()
+			for i := 0; i < 100000; i++ {
+				if !eng.Step() {
+					break
+				}
+			}
+			t.Fatal("engine drained without panicking")
+		})
 	}
-	t.Fatal("engine drained without panicking")
 }

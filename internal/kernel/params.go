@@ -11,9 +11,10 @@
 // paper describes, and measurement overhead feeds back into virtual time so
 // perturbation studies are faithful.
 //
-// Simulated processes are goroutines coupled to the engine by strict
-// unbuffered-channel handoffs: exactly one goroutine (engine or one task)
-// runs at any instant, so simulations are fully deterministic.
+// Each simulated process is a runtime coroutine (iter.Pull) that the engine
+// resumes when the process holds a CPU and that suspends at its next kernel
+// request: control passes directly between engine and task, so exactly one
+// of them runs at any instant and simulations are fully deterministic.
 package kernel
 
 import "time"

@@ -1,7 +1,10 @@
+//go:build go1.23
+
 package kernel
 
 import (
 	"fmt"
+	"iter"
 	"math"
 	"time"
 
@@ -73,10 +76,10 @@ func (k TaskKind) String() string {
 	}
 }
 
-// Program is the body of a simulated process. It runs on its own goroutine
-// and expresses all CPU consumption and kernel interaction through the UCtx
-// it receives; plain Go computation between UCtx calls takes zero virtual
-// time.
+// Program is the body of a simulated process. It runs as a coroutine that
+// the kernel resumes whenever the task holds a CPU, and expresses all CPU
+// consumption and kernel interaction through the UCtx it receives; plain Go
+// computation between UCtx calls takes zero virtual time.
 type Program func(u *UCtx)
 
 type reqKind uint8
@@ -87,20 +90,17 @@ const (
 	reqWait
 	reqSleep
 	reqYield
-	reqExit
-	reqPanic
 )
 
 type request struct {
 	kind reqKind
 	d    time.Duration
 	wq   *WaitQueue
-	pv   any
 }
 
 type shutdownSentinel struct{}
 
-// errShutdown is panicked inside task goroutines when the kernel shuts down,
+// errShutdown is panicked inside task programs when the kernel shuts down,
 // unwinding them cleanly.
 var errShutdown = shutdownSentinel{}
 
@@ -128,9 +128,12 @@ type Task struct {
 	seg        workSeg
 	activateFn func()
 
-	grant chan struct{}
-	req   chan request
-	done  chan struct{}
+	// next resumes the program until its next request (false once the
+	// program has returned), stop unwinds a suspended program, and yield is
+	// the program's side of the same coroutine.
+	next  func() (request, bool)
+	stop  func()
+	yield func(request) bool
 
 	kd  *ktau.TaskData
 	rng *sim.RNG
@@ -196,9 +199,6 @@ func (t *Task) LastCPU() int { return t.cpuID }
 // KD returns the task's KTAU measurement structure.
 func (t *Task) KD() *ktau.TaskData { return t.kd }
 
-// Done is closed when the task exits.
-func (t *Task) Done() <-chan struct{} { return t.done }
-
 // Exited reports whether the task has finished.
 func (t *Task) Exited() bool { return t.state == StateZombie }
 
@@ -246,36 +246,28 @@ func (t *Task) takeUserDebt() time.Duration {
 	return d
 }
 
-// ---- goroutine side of the coprocess protocol ----
+// ---- program side of the coroutine ----
 
-func (t *Task) run() {
+// run is the task's coroutine body. Any panic other than the shutdown
+// sentinel reaches the engine through next with its value unchanged.
+func (t *Task) run(yield func(request) bool) {
 	defer func() {
 		if r := recover(); r != nil {
-			if _, ok := r.(shutdownSentinel); ok {
-				return
+			if _, ok := r.(shutdownSentinel); !ok {
+				panic(r)
 			}
-			// Forward the panic to the engine goroutine, which is blocked
-			// waiting for this task's next request.
-			t.req <- request{kind: reqPanic, pv: r}
 		}
 	}()
-	t.await()
+	t.yield = yield
 	t.program(t.uctx)
-	t.req <- request{kind: reqExit}
 }
 
-// await parks until the engine grants the CPU.
-func (t *Task) await() {
-	_, ok := <-t.grant
-	if !ok || t.k.shutdown {
+// call hands a request to the engine and suspends the program until the
+// engine resumes it.
+func (t *Task) call(r request) {
+	if !t.yield(r) || t.k.shutdown {
 		panic(errShutdown)
 	}
-}
-
-// call issues a request to the engine and parks until regranted.
-func (t *Task) call(r request) {
-	t.req <- r
-	t.await()
 }
 
 // ---- engine side ----
@@ -308,9 +300,6 @@ func (k *Kernel) Spawn(name string, program Program, opts SpawnOpts) *Task {
 		state:   StateSleeping,
 		cpuID:   -1,
 		program: program,
-		grant:   make(chan struct{}),
-		req:     make(chan request),
-		done:    make(chan struct{}),
 		rng:     k.rng.Stream(fmt.Sprintf("task/%s/%d", name, pid)),
 		StartAt: k.eng.Now(),
 	}
@@ -320,7 +309,7 @@ func (k *Kernel) Spawn(name string, program Program, opts SpawnOpts) *Task {
 	t.uctx = &UCtx{t: t, k: k}
 	k.tasks[pid] = t
 	k.order = append(k.order, t)
-	go t.run()
+	t.next, t.stop = iter.Pull(t.run)
 	k.Wake(t)
 	return t
 }
@@ -338,10 +327,14 @@ func (k *Kernel) Signal(t *Task, sig int) {
 	}
 }
 
-// activate grants the CPU to t's goroutine and handles its next request.
+// activate resumes t's program and handles its next request; a program
+// that has returned exits the task.
 func (k *Kernel) activate(t *Task) {
-	t.grant <- struct{}{}
-	r := <-t.req
+	r, ok := t.next()
+	if !ok {
+		k.exitTask(k.cpus[t.cpuID], t)
+		return
+	}
 	k.handle(t, r)
 }
 
@@ -399,12 +392,6 @@ func (k *Kernel) handle(t *Task, r request) {
 			k.switchTo(c, next)
 		}
 
-	case reqExit:
-		k.exitTask(c, t)
-
-	case reqPanic:
-		panic(r.pv)
-
 	default:
 		panic(fmt.Sprintf("kernel: unknown request kind %d", r.kind))
 	}
@@ -425,7 +412,6 @@ func (k *Kernel) exitTask(c *CPU, t *Task) {
 	if c.curr == t {
 		c.curr = nil
 	}
-	close(t.done)
 	if next := k.pickTask(c); next != nil {
 		k.switchTo(c, next)
 	} else {

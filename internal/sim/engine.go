@@ -114,8 +114,8 @@ func (h *eventHeap) Pop() any {
 }
 
 // Engine is a deterministic discrete-event simulator. It is not safe for
-// concurrent use; simulated processes synchronise with the engine through
-// strict channel handoffs so that only one goroutine runs at a time.
+// concurrent use; simulated processes are coroutines that the engine resumes
+// one at a time, so only one goroutine runs at a time.
 type Engine struct {
 	now     Time
 	pq      eventHeap

@@ -64,12 +64,14 @@ go test -run '^$' -fuzz '^FuzzChromeEvent$' -fuzztime 5s ./internal/tracepipe/
 echo "== go test -race (partitioned runner + cluster + serial/parallel cross-check) =="
 # The sim package covers the partitioned runner itself (latency-matrix
 # partitioning, epoch rendezvous, merge order, zero-alloc steady state); the
-# experiments cross-checks then pin byte identity of the full monitored,
-# fault-injected workloads against serial on both the flat topology (the
-# classic single-group runner, 4 workers) and a racked one that partitions
-# the runner, at workers {2, 3, 8} — more groups than workers, workers that
-# don't divide groups, and more workers than groups.
-go test -race ./internal/sim/ ./internal/cluster/
+# kernel package covers the task coroutines, which different runner workers
+# resume one after another; the experiments cross-checks then pin byte
+# identity of the full monitored, fault-injected workloads against serial on
+# both the flat topology (the classic single-group runner, 4 workers) and a
+# racked one that partitions the runner, at workers {2, 3, 8} — more groups
+# than workers, workers that don't divide groups, and more workers than
+# groups.
+go test -race ./internal/sim/ ./internal/cluster/ ./internal/kernel/
 go test -race ./internal/experiments/ -run TestParallelMatchesSerialByteForByte
 
 echo "== go test -race (trace pipeline + cluster-trace determinism) =="
