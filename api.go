@@ -59,8 +59,9 @@ func NewLatencyMatrix(n int, def time.Duration) *LatencyMatrix {
 	return sim.NewLatencyMatrix(n, def)
 }
 
-// NewRunner couples engines under one uniform lookahead window, executed
-// serially (workers <= 1) or on several goroutines.
+// NewRunner couples engines under one uniform lookahead, executed serially
+// (workers <= 1) or on several goroutines: each engine is its own group and
+// every epoch is one window of that lookahead.
 func NewRunner(engines []*Engine, lookahead time.Duration, workers int) *Runner {
 	return sim.NewRunner(engines, lookahead, workers)
 }

@@ -215,8 +215,9 @@ func TestRackedClusterCrossRackTraffic(t *testing.T) {
 }
 
 func TestRackedTopologyDegenerateIsUniform(t *testing.T) {
-	// RackSize >= node count (or 0) must leave the runner in classic
-	// single-group mode so uniform baselines stay valid.
+	// RackSize >= node count (or 0) must leave the runner unpartitioned —
+	// one singleton group per node, every epoch one window — so uniform
+	// baselines stay valid.
 	for _, rack := range []int{0, 8, 100} {
 		cfg := testConfig(8)
 		cfg.Topology = Topology{RackSize: rack}

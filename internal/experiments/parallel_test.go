@@ -70,8 +70,8 @@ func liveFingerprint(t *testing.T, racks int, parallel bool, workers int) string
 // same seed run serially (one worker) and in parallel (several workers, with
 // faults injected and the live monitoring pipeline shipping frames across
 // nodes) must leave byte-identical /proc/ktau profiles on every node and a
-// byte-identical collector store. The flat topology exercises the classic
-// single-group runner; the racked topology (4 racks of 2 nodes) exercises
+// byte-identical collector store. The flat topology runs every node as its
+// own group, one window per epoch; the racked topology (4 racks of 2 nodes) exercises
 // the partitioned runner — per-group windows, epoch rendezvous and the
 // cross-group inbox — across every interesting worker count, including more
 // workers than groups.

@@ -100,7 +100,7 @@ func traceFingerprint(t *testing.T, racks int, parallel bool, workers int) strin
 // the same seed run serially and on several workers — with faults injected
 // and both pipelines shipping frames across nodes — must produce a
 // byte-identical merged cluster trace and byte-identical self-metrics. The
-// flat case covers the single-group runner; the racked case runs the trace
+// flat case runs one singleton group per node; the racked case runs the trace
 // pipeline across partitioned groups at several worker counts.
 func TestClusterTraceParallelMatchesSerial(t *testing.T) {
 	cases := []struct {

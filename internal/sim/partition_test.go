@@ -82,11 +82,8 @@ func rackedMatrix(n, rack int, inter time.Duration) *LatencyMatrix {
 func rackedPingPongTrace(t *testing.T, workers int) string {
 	t.Helper()
 	const n = 8
-	engines := make([]*Engine, n)
+	engines := newEngines(n)
 	logs := make([][]string, n)
-	for i := range engines {
-		engines[i] = NewEngine()
-	}
 	r := NewPartitionedRunner(engines, rackedMatrix(n, 4, 8*time.Millisecond), workers)
 	if !r.Partitioned() {
 		t.Fatal("racked matrix did not partition the runner")
@@ -131,118 +128,8 @@ func rackedPingPongTrace(t *testing.T, workers int) string {
 	return b.String()
 }
 
-func TestPartitionedRunnerSerialParallelIdentical(t *testing.T) {
-	serial := rackedPingPongTrace(t, 1)
-	for _, workers := range []int{2, 3, 8} {
-		if got := rackedPingPongTrace(t, workers); got != serial {
-			t.Fatalf("workers=%d schedule differs from serial:\n--- serial ---\n%s\n--- workers=%d ---\n%s",
-				workers, serial, workers, got)
-		}
-	}
-}
-
-func TestPartitionedRunnerClosedFinalEpoch(t *testing.T) {
-	engines := make([]*Engine, 4)
-	for i := range engines {
-		engines[i] = NewEngine()
-	}
-	r := NewPartitionedRunner(engines, rackedMatrix(4, 2, 8*time.Millisecond), 2)
-	limit := Time(int64(5 * time.Millisecond))
-	fired := false
-	engines[3].At(limit, func() { fired = true })
-	r.RunUntil(limit)
-	if !fired {
-		t.Error("event exactly at the RunUntil limit did not fire")
-	}
-	if r.Now() != limit {
-		t.Errorf("runner now = %v, want %v", r.Now(), limit)
-	}
-	for i, e := range engines {
-		if e.Now() != limit {
-			t.Errorf("engine %d clock = %v, want %v", i, e.Now(), limit)
-		}
-	}
-}
-
-func TestPartitionedRunnerDrainedCalendarAdvancesClocks(t *testing.T) {
-	engines := make([]*Engine, 4)
-	for i := range engines {
-		engines[i] = NewEngine()
-	}
-	r := NewPartitionedRunner(engines, rackedMatrix(4, 2, 8*time.Millisecond), 1)
-	engines[0].After(time.Millisecond, func() {})
-	target := Time(int64(40 * time.Millisecond))
-	r.RunUntil(target)
-	if r.Now() != target {
-		t.Errorf("runner now = %v, want %v", r.Now(), target)
-	}
-	for i, e := range engines {
-		if e.Now() != target {
-			t.Errorf("engine %d clock = %v, want %v", i, e.Now(), target)
-		}
-	}
-	// A post after the drain fast-forward is still legal and delivered.
-	fired := false
-	r.Post(0, 3, target.Add(time.Nanosecond), func() { fired = true })
-	r.RunUntil(target.Add(time.Millisecond))
-	if !fired {
-		t.Error("post after drain was not delivered")
-	}
-}
-
-func TestPartitionedRunnerPanicLowestEngineWins(t *testing.T) {
-	// Engines in different groups panic in the same epoch; the lowest-indexed
-	// one must surface regardless of worker count.
-	for _, workers := range []int{1, 2, 4} {
-		engines := make([]*Engine, 8)
-		for i := range engines {
-			engines[i] = NewEngine()
-		}
-		r := NewPartitionedRunner(engines, rackedMatrix(8, 4, 8*time.Millisecond), workers)
-		engines[6].At(Time(10), func() { panic("engine 6 boom") })
-		engines[2].At(Time(20), func() { panic("engine 2 boom") })
-		got := func() (v any) {
-			defer func() { v = recover() }()
-			r.RunUntil(Time(int64(time.Millisecond)))
-			return nil
-		}()
-		if fmt.Sprint(got) != "engine 2 boom" {
-			t.Fatalf("workers=%d: surfaced panic %v, want engine 2's", workers, got)
-		}
-	}
-}
-
-func TestPartitionedRunnerHooksRunPerEpoch(t *testing.T) {
-	// Barrier hooks run once per epoch rendezvous, not once per group window:
-	// with an 8ms epoch and 1ms group windows, a 40ms run sees ~5 hook
-	// firings, not ~40.
-	engines := make([]*Engine, 4)
-	for i := range engines {
-		engines[i] = NewEngine()
-	}
-	r := NewPartitionedRunner(engines, rackedMatrix(4, 2, 8*time.Millisecond), 1)
-	hooks := 0
-	r.OnBarrier(func() { hooks++ })
-	var tick func()
-	ticks := 0
-	tick = func() {
-		ticks++
-		if ticks < 100 {
-			engines[0].After(500*time.Microsecond, tick)
-		}
-	}
-	engines[0].After(0, tick)
-	r.RunUntil(Time(int64(40 * time.Millisecond)))
-	if hooks < 5 || hooks > 8 {
-		t.Errorf("hooks ran %d times over 5 epochs worth of time", hooks)
-	}
-	if r.EpochSpan() != 8*time.Millisecond {
-		t.Errorf("EpochSpan = %v, want 8ms", r.EpochSpan())
-	}
-}
-
-// TestRunnerPostBoundaries table-tests Post's legality boundary in both
-// runner modes: exactly at the window/epoch end is legal, any earlier is a
+// TestRunnerPostBoundaries table-tests Post's legality boundary on a flat
+// ("uniform") and a racked topology: exactly at the window/epoch end is legal, any earlier is a
 // violation panic that names the pair lookahead, and quiescent-time posts
 // are bounded only by the runner clock.
 func TestRunnerPostBoundaries(t *testing.T) {
@@ -250,11 +137,7 @@ func TestRunnerPostBoundaries(t *testing.T) {
 		return NewRunner([]*Engine{NewEngine(), NewEngine(), NewEngine(), NewEngine()}, time.Millisecond, 1)
 	}
 	racked := func() *Runner {
-		engines := make([]*Engine, 4)
-		for i := range engines {
-			engines[i] = NewEngine()
-		}
-		return NewPartitionedRunner(engines, rackedMatrix(4, 2, 8*time.Millisecond), 1)
+		return NewPartitionedRunner(newEngines(4), rackedMatrix(4, 2, 8*time.Millisecond), 1)
 	}
 	cases := []struct {
 		name  string
@@ -424,86 +307,151 @@ func TestRunnerPostBoundaries(t *testing.T) {
 // concurrent sources posting in randomized real-time interleavings must
 // always produce the same delivery order, because compareXev is a strict
 // total order over (at, src, seq) and seq is assigned in source execution
-// order. Each trial shuffles goroutine scheduling with random yields; the
-// delivery log must match the first trial byte for byte.
+// order. Each trial shuffles goroutine scheduling with random yields; every
+// post must be delivered, and the delivery log must match the first trial
+// byte for byte. The racked case posts across racks, so the posts are
+// parked in the epoch inbox, which quiescent-time posts share with
+// mid-epoch cross-group ones.
 func TestRunnerMergeOrderProperty(t *testing.T) {
-	trial := func(seed int64) string {
-		const sources = 6
-		engines := make([]*Engine, sources+1)
-		for i := range engines {
-			engines[i] = NewEngine()
-		}
-		r := NewRunner(engines, time.Millisecond, 1)
-		var log []string
-		// Sources post from their own goroutines while the runner is
-		// quiescent — the inbox append order is whatever the host scheduler
-		// produces, but delivery order must not depend on it. Each source
-		// posts a deterministic event stream with colliding timestamps.
-		var wg sync.WaitGroup
-		for src := 0; src < sources; src++ {
-			wg.Add(1)
-			go func(src int) {
-				defer wg.Done()
-				rng := rand.New(rand.NewSource(seed + int64(src)))
-				for k := 0; k < 50; k++ {
-					at := Time(int64(time.Millisecond) + int64(k%7)*int64(100*time.Microsecond))
-					src, k := src, k
-					if rng.Intn(2) == 0 {
-						runtime.Gosched()
-					}
-					r.Post(src, sources, at, func() {
-						log = append(log, fmt.Sprintf("src %d msg %d at %v", src, k, engines[sources].Now()))
-					})
-				}
-			}(src)
-		}
-		wg.Wait()
-		r.RunUntil(Time(int64(5 * time.Millisecond)))
-		return strings.Join(log, "\n")
+	const sources, perSource = 6, 50
+	cases := []struct {
+		name string
+		make func(engines []*Engine) *Runner
+		n    int
+		dst  func(src int) int
+	}{
+		{"flat", func(engines []*Engine) *Runner { return NewRunner(engines, time.Millisecond, 1) },
+			sources + 1, func(int) int { return sources }},
+		{"racked", func(engines []*Engine) *Runner {
+			return NewPartitionedRunner(engines, rackedMatrix(8, 4, 8*time.Millisecond), 1)
+		}, 8, func(src int) int {
+			if src < 4 {
+				return 7
+			}
+			return 3
+		}},
 	}
-	want := trial(1)
-	for seed := int64(2); seed <= 12; seed++ {
-		if got := trial(seed); got != want {
-			t.Fatalf("seed %d delivery order differs:\n--- want ---\n%s\n--- got ---\n%s", seed, want, got)
-		}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			trial := func(seed int64) string {
+				engines := newEngines(tc.n)
+				r := tc.make(engines)
+				var log []string
+				// Sources post from their own goroutines while the runner is
+				// quiescent — the inbox append order is whatever the host
+				// scheduler produces, but delivery order must not depend on
+				// it. Each source posts a deterministic event stream with
+				// colliding timestamps.
+				var wg sync.WaitGroup
+				for src := 0; src < sources; src++ {
+					wg.Add(1)
+					go func(src int) {
+						defer wg.Done()
+						rng := rand.New(rand.NewSource(seed + int64(src)))
+						dst := tc.dst(src)
+						for k := 0; k < perSource; k++ {
+							at := Time(int64(time.Millisecond) + int64(k%7)*int64(100*time.Microsecond))
+							src, k := src, k
+							if rng.Intn(2) == 0 {
+								runtime.Gosched()
+							}
+							r.Post(src, dst, at, func() {
+								log = append(log, fmt.Sprintf("src %d msg %d at %v on %d", src, k, engines[dst].Now(), dst))
+							})
+						}
+					}(src)
+				}
+				wg.Wait()
+				r.RunUntil(Time(int64(5 * time.Millisecond)))
+				if len(log) != sources*perSource {
+					t.Fatalf("seed %d delivered %d of %d posts", seed, len(log), sources*perSource)
+				}
+				return strings.Join(log, "\n")
+			}
+			want := trial(1)
+			for seed := int64(2); seed <= 12; seed++ {
+				if got := trial(seed); got != want {
+					t.Fatalf("seed %d delivery order differs:\n--- want ---\n%s\n--- got ---\n%s", seed, want, got)
+				}
+			}
+		})
 	}
 }
 
-// TestPartitionedRunnerStepZeroAllocsSteadyState extends the PR 5 pooled
-// discipline to the partitioned window loop: once buffers are warm, epochs
-// with steady intra-group and cross-group traffic (posted through pooled
-// AtCall carriers, as netsim does) must not allocate.
+// TestPartitionedRunnerStepZeroAllocsSteadyState pins the pooled discipline
+// on the epoch loop: once buffers are warm, epochs with steady cross-engine
+// traffic (posted through pooled AtCall carriers, as netsim does) must not
+// allocate. The flat case runs every engine as its own group, so all of its
+// traffic crosses groups; the racked case mixes intra-group and cross-group
+// posts.
 func TestPartitionedRunnerStepZeroAllocsSteadyState(t *testing.T) {
-	engines := make([]*Engine, 4)
-	for i := range engines {
-		engines[i] = NewEngine()
+	cases := []struct {
+		name        string
+		make        func(engines []*Engine) *Runner
+		partitioned bool
+	}{
+		{"flat", func(engines []*Engine) *Runner { return NewRunner(engines, time.Millisecond, 1) }, false},
+		{"racked", func(engines []*Engine) *Runner {
+			return NewPartitionedRunner(engines, rackedMatrix(4, 2, 8*time.Millisecond), 1)
+		}, true},
 	}
-	r := NewPartitionedRunner(engines, rackedMatrix(4, 2, 8*time.Millisecond), 1)
-	if !r.Partitioned() {
-		t.Fatal("runner not partitioned")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			engines := newEngines(4)
+			r := tc.make(engines)
+			if r.Partitioned() != tc.partitioned {
+				t.Fatalf("Partitioned() = %v, want %v", r.Partitioned(), tc.partitioned)
+			}
+			// Steady traffic: pre-built ping-pong closures relay between
+			// engines 0<->1 (within rack 0 when racked) and 0<->2 (across
+			// racks), re-arming from inside the callbacks. The closures are
+			// built once at boot, so the steady state exercises only the
+			// runner's own buffers.
+			var pingAB, pingBA, pingXR, pingRX func()
+			pingAB = func() { r.Post(1, 0, engines[1].Now().Add(r.PairLookahead(1, 0)), pingBA) }
+			pingBA = func() { r.Post(0, 1, engines[0].Now().Add(r.PairLookahead(0, 1)), pingAB) }
+			pingXR = func() { r.Post(2, 0, engines[2].Now().Add(r.PairLookahead(2, 0)), pingRX) }
+			pingRX = func() { r.Post(0, 2, engines[0].Now().Add(r.PairLookahead(0, 2)), pingXR) }
+			engines[0].At(Time(1), pingBA)
+			engines[0].At(Time(2), pingRX)
+			// Warm up buffers (inbox, pend, xbuf, engine pools, heap arrays).
+			end := r.Now()
+			for i := 0; i < 50; i++ {
+				end = end.Add(8 * time.Millisecond)
+				r.RunUntil(end)
+			}
+			allocs := testing.AllocsPerRun(100, func() {
+				end = end.Add(8 * time.Millisecond)
+				r.RunUntil(end)
+			})
+			if allocs != 0 {
+				t.Errorf("steady-state epoch allocates %v/op, want 0", allocs)
+			}
+		})
 	}
-	// Steady traffic: pre-built ping-pong closures relay within rack 0
-	// (engines 0<->1) and across racks (engines 0<->2), re-arming from
-	// inside the callbacks. The closures are built once at boot, so the
-	// steady state exercises only the runner's own buffers.
-	var pingAB, pingBA, pingXR, pingRX func()
-	pingAB = func() { r.Post(1, 0, engines[1].Now().Add(r.PairLookahead(1, 0)), pingBA) }
-	pingBA = func() { r.Post(0, 1, engines[0].Now().Add(r.PairLookahead(0, 1)), pingAB) }
-	pingXR = func() { r.Post(2, 0, engines[2].Now().Add(r.PairLookahead(2, 0)), pingRX) }
-	pingRX = func() { r.Post(0, 2, engines[0].Now().Add(r.PairLookahead(0, 2)), pingXR) }
-	engines[0].At(Time(1), pingBA)
-	engines[0].At(Time(2), pingRX)
-	// Warm up buffers (inbox, pend, xbuf, engine pools, heap arrays).
+}
+
+// BenchmarkRunnerWindow measures the per-window cost of the serial epoch
+// loop on a flat topology: 32 engines, a 60µs lookahead (the Chiba link
+// latency) and one cross-engine ping-pong, so every window runs one event
+// and most engines are idle. One op is one window.
+func BenchmarkRunnerWindow(b *testing.B) {
+	const lookahead = 60 * time.Microsecond
+	engines := newEngines(32)
+	r := NewRunner(engines, lookahead, 1)
+	var ping, pong func()
+	ping = func() { r.Post(0, 1, engines[0].Now().Add(lookahead), pong) }
+	pong = func() { r.Post(1, 0, engines[1].Now().Add(lookahead), ping) }
+	engines[0].At(0, ping)
 	end := r.Now()
-	for i := 0; i < 50; i++ {
-		end = end.Add(8 * time.Millisecond)
+	for i := 0; i < 100; i++ {
+		end = end.Add(lookahead)
 		r.RunUntil(end)
 	}
-	allocs := testing.AllocsPerRun(100, func() {
-		end = end.Add(8 * time.Millisecond)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		end = end.Add(lookahead)
 		r.RunUntil(end)
-	})
-	if allocs != 0 {
-		t.Errorf("steady-state partitioned epoch allocates %v/op, want 0", allocs)
 	}
 }

@@ -67,7 +67,7 @@ echo "== go test -race (partitioned runner + cluster + serial/parallel cross-che
 # kernel package covers the task coroutines, which different runner workers
 # resume one after another; the experiments cross-checks then pin byte
 # identity of the full monitored, fault-injected workloads against serial on
-# both the flat topology (the classic single-group runner, 4 workers) and a
+# both the flat topology (one singleton group per node, 4 workers) and a
 # racked one that partitions the runner, at workers {2, 3, 8} — more groups
 # than workers, workers that don't divide groups, and more workers than
 # groups.
